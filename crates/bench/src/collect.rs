@@ -8,20 +8,20 @@
 //! 1, 2, 4, … node shards. Items/second counts the *flows ingested*, so
 //! the lanes are directly comparable to the ingest bench.
 //!
-//! The windowed lanes race the same sliding-window workload over both
-//! wire encodings at the same per-round cadence: `windowed_full` ships
-//! a full v2 checkpoint per round, `windowed_delta` ships the v3
-//! delta-chain frames. Before any timing, both pipelines run once and
-//! their per-link estimates, truths and quantile summaries must be
-//! **bit-identical** — the bench refuses to time a compressed lane that
-//! changes answers. The measured byte counts land in the report header
+//! The `windowed_delta` lane times the sliding-window workload shipping
+//! v3 delta-chain frames. Each node's frame source also cuts a full v2
+//! checkpoint per round at the same cadence; those are counted, not
+//! shipped, so one run yields both byte totals. Before any timing, the
+//! delta pipeline's per-link estimates, truths and quantile summary must
+//! be **bit-identical** to the one-full-frame-per-epoch reference
+//! ([`run_windowed_pipeline`]) — the bench refuses to time a compressed
+//! lane that changes answers. The byte counts land in the report header
 //! (`bytes_on_wire_full` / `bytes_on_wire_v3` / `wire_reduction`);
 //! results serialize to `BENCH_collect.json`.
 
 use sbitmap_stream::collector::{run_pipeline, PipelineConfig};
 use sbitmap_stream::{
-    run_windowed_pipeline_rounds, run_windowed_pipeline_v3, BackboneSnapshot,
-    WindowedPipelineConfig,
+    run_windowed_pipeline, run_windowed_pipeline_v3, BackboneSnapshot, WindowedPipelineConfig,
 };
 
 use crate::harness::{Bench, Measurement};
@@ -41,8 +41,8 @@ pub struct CollectConfig {
     pub window: usize,
     /// Epochs the windowed lanes run.
     pub epochs: usize,
-    /// Wire rounds per epoch for the windowed lanes — both encodings
-    /// ship at this cadence, so the comparison is byte-for-byte fair.
+    /// Wire rounds per epoch for the windowed lane — both encodings are
+    /// cut at this cadence, so the comparison is byte-for-byte fair.
     pub rounds: usize,
 }
 
@@ -99,12 +99,11 @@ impl CollectConfig {
 /// Wire-cost figures from the windowed full-vs-delta comparison.
 #[derive(Debug, Clone)]
 pub struct WireStats {
-    /// Bytes shipped by the uncompressed lane (full v2 checkpoint per
-    /// round).
+    /// Bytes of the same-cadence full v2 checkpoints (one per round).
     pub bytes_full: usize,
-    /// Bytes shipped by the v3 delta lane at the same cadence.
+    /// Bytes shipped by the v3 delta lane.
     pub bytes_v3: usize,
-    /// Frames each lane shipped (`shards × epochs × rounds`).
+    /// Frames of each encoding (`shards × epochs × rounds`).
     pub frames: usize,
     /// `bytes_full / bytes_v3`.
     pub reduction: f64,
@@ -113,7 +112,7 @@ pub struct WireStats {
 /// Everything one collect-bench invocation produced.
 #[derive(Debug, Clone)]
 pub struct CollectRun {
-    /// Timed lanes: shard scaling plus the two windowed wire lanes.
+    /// Timed lanes: shard scaling plus the windowed delta lane.
     pub results: Vec<Measurement>,
     /// Byte counts from the verified full-vs-delta comparison.
     pub wire: WireStats,
@@ -124,8 +123,8 @@ pub struct CollectRun {
 /// # Panics
 ///
 /// If the v3 delta lane's estimates, truths or quantile summaries
-/// diverge from the uncompressed lane — the bench refuses to time an
-/// encoding that changes answers.
+/// diverge from [`run_windowed_pipeline`] — the bench refuses to time
+/// an encoding that changes answers.
 pub fn run(cfg: &CollectConfig) -> CollectRun {
     let bench = Bench::with_budget_ms(cfg.budget_ms);
     // The flow total is a property of (links, seed): read it off the
@@ -146,15 +145,15 @@ pub fn run(cfg: &CollectConfig) -> CollectRun {
         shards *= 2;
     }
 
-    // Equivalence gate before timing the wire lanes.
+    // Equivalence gate before timing the delta lane.
     let wcfg = cfg.windowed();
-    let full = run_windowed_pipeline_rounds(&wcfg).expect("windowed full lane");
+    let reference = run_windowed_pipeline(&wcfg).expect("windowed reference");
     let v3 = run_windowed_pipeline_v3(&wcfg).expect("windowed delta lane");
-    for (f, d) in full.links.iter().zip(&v3.links) {
+    for (f, d) in reference.links.iter().zip(&v3.links) {
         assert!(
             f.link == d.link && f.truth == d.truth && f.estimate == d.estimate,
-            "refusing to benchmark: link {} diverges between full \
-             ({} / {}) and delta ({} / {}) lanes",
+            "refusing to benchmark: link {} diverges between the reference \
+             ({} / {}) and the delta lane ({} / {})",
             f.link,
             f.truth,
             f.estimate,
@@ -163,23 +162,17 @@ pub fn run(cfg: &CollectConfig) -> CollectRun {
         );
     }
     assert_eq!(
-        full.estimate_quantiles, v3.estimate_quantiles,
+        reference.estimate_quantiles, v3.estimate_quantiles,
         "refusing to benchmark: quantile summaries diverge between encodings"
     );
-    assert_eq!(full.checkpoints, v3.checkpoints, "frame cadence mismatch");
     let wire = WireStats {
-        bytes_full: full.bytes_shipped,
+        bytes_full: v3.bytes_full,
         bytes_v3: v3.bytes_shipped,
         frames: v3.checkpoints,
-        reduction: full.bytes_shipped as f64 / (v3.bytes_shipped.max(1)) as f64,
+        reduction: v3.bytes_full as f64 / (v3.bytes_shipped.max(1)) as f64,
     };
 
     let frames = wire.frames as u64;
-    results.push(bench.run("windowed_full", frames, || {
-        run_windowed_pipeline_rounds(&wcfg)
-            .expect("windowed full lane")
-            .checkpoints
-    }));
     results.push(bench.run("windowed_delta", frames, || {
         run_windowed_pipeline_v3(&wcfg)
             .expect("windowed delta lane")
@@ -241,15 +234,7 @@ mod tests {
         };
         let run = run(&cfg);
         let names: Vec<&str> = run.results.iter().map(|m| m.name.as_str()).collect();
-        assert_eq!(
-            names,
-            vec![
-                "collect_s1",
-                "collect_s2",
-                "windowed_full",
-                "windowed_delta"
-            ]
-        );
+        assert_eq!(names, ["collect_s1", "collect_s2", "windowed_delta"]);
         assert!(run.results.iter().all(|m| m.items > 0));
         assert!(
             run.wire.bytes_v3 < run.wire.bytes_full,

@@ -1,6 +1,6 @@
-//! The fleet-storage benchmark: HashMap fleet vs arena fleet vs sharded
-//! arena fleet on the §7.2 backbone workload, plus the sparse-vs-dense
-//! memory lane on a million-key Zipf per-flow workload.
+//! The fleet-storage benchmark: HashMap fleet vs arena fleet on the §7.2
+//! backbone workload, plus the sparse-vs-dense memory lane on a
+//! million-key Zipf per-flow workload.
 //!
 //! The **backbone** lanes ingest the *same* interleaved `(link, flow)`
 //! pair sequence ([`crate::ingest::backbone_pairs`], so results are
@@ -12,10 +12,7 @@
 //! * **batched** — [`SketchFleet::insert_batch`]: the legacy grouping
 //!   path over reused scratch buckets;
 //! * **arena** — [`FleetArena::insert_batch`]: contiguous arena storage
-//!   behind the counting-sort radix router, zero steady-state allocation;
-//! * **parallel_tK** — [`ParallelFleet::insert_batch`] with K shard
-//!   threads over disjoint arenas (expect gains only when
-//!   `available_parallelism` in the report header exceeds 1).
+//!   behind the counting-sort radix router, zero steady-state allocation.
 //!
 //! The **zipf** lanes model the paper's per-flow scenarios (§7): ≥1M
 //! keys drawn Zipf(1.1), most of them cold, fed to the size-classed
@@ -39,7 +36,7 @@
 
 use std::sync::Arc;
 
-use sbitmap_core::{FleetArena, ParallelFleet, RateSchedule, SketchFleet, SparseFleet};
+use sbitmap_core::{FleetArena, RateSchedule, SketchFleet, SparseFleet};
 use sbitmap_stream::{distinct_items, zipf_stream};
 
 use crate::harness::{peak_rss_bytes, Bench, Measurement};
@@ -95,8 +92,6 @@ pub struct FleetConfig {
     pub max_pairs: usize,
     /// Per-case wall-clock budget in milliseconds.
     pub budget_ms: u64,
-    /// Largest shard count for the parallel lanes; lanes run 1, 2, 4, …
-    pub max_shards: usize,
     /// Workload seed.
     pub seed: u64,
     /// Which workload generator(s) to run.
@@ -111,7 +106,6 @@ impl Default for FleetConfig {
             links: 150,
             max_pairs: 2_000_000,
             budget_ms: 300,
-            max_shards: std::thread::available_parallelism().map_or(4, |p| p.get().min(8)),
             seed: 0xbe9c,
             generator: FleetGenerator::Backbone,
             zipf_keys: 1_200_000,
@@ -126,7 +120,6 @@ impl FleetConfig {
             links: 40,
             max_pairs: 200_000,
             budget_ms: 60,
-            max_shards: 2,
             zipf_keys: 40_000,
             ..Self::default()
         }
@@ -137,7 +130,7 @@ impl FleetConfig {
             links: self.links,
             max_pairs: self.max_pairs,
             budget_ms: self.budget_ms,
-            max_threads: self.max_shards,
+            max_threads: 1,
             seed: self.seed,
         }
     }
@@ -201,7 +194,7 @@ pub fn run(cfg: &FleetConfig) -> FleetRun {
     }
 }
 
-/// The §7.2 backbone lanes (HashMap scalar/batched, arena, parallel).
+/// The §7.2 backbone lanes (HashMap scalar/batched, arena).
 fn run_backbone_lanes(cfg: &FleetConfig) -> Vec<Measurement> {
     let bench = Bench::with_budget_ms(cfg.budget_ms);
     let pairs = backbone_pairs(&cfg.ingest_cfg());
@@ -242,18 +235,6 @@ fn run_backbone_lanes(cfg: &FleetConfig) -> Vec<Measurement> {
             fleet.reset_all();
             fleet.insert_batch(&pairs)
         }));
-    }
-    let mut shards = 1usize;
-    while shards <= cfg.max_shards.max(1) {
-        let name = format!("backbone_fleet_parallel_t{shards}");
-        results.push(bench.run(&name, n_pairs, || {
-            let mut fleet: ParallelFleet =
-                ParallelFleet::with_schedule(schedule.clone(), cfg.seed, shards)
-                    .expect("at least one shard");
-            fleet.insert_batch(&pairs);
-            fleet.len()
-        }));
-        shards *= 2;
     }
     results
 }
@@ -348,14 +329,9 @@ fn verify_equivalence(cfg: &FleetConfig, pairs: &[(u64, u64)]) -> bool {
     let mut hashmap_fleet: SketchFleet =
         SketchFleet::new(N_MAX, M_BITS, cfg.seed).expect("fleet config");
     let mut arena: FleetArena = FleetArena::new(N_MAX, M_BITS, cfg.seed).expect("fleet config");
-    let mut parallel: ParallelFleet =
-        ParallelFleet::new(N_MAX, M_BITS, cfg.seed, cfg.max_shards.max(2)).expect("fleet config");
     hashmap_fleet.insert_batch(pairs);
     arena.insert_batch(pairs);
-    parallel.insert_batch(pairs);
-    let reference: Vec<(u64, f64)> = hashmap_fleet.estimates().collect();
-    reference == arena.estimates().collect::<Vec<_>>()
-        && reference == parallel.estimates().collect::<Vec<_>>()
+    hashmap_fleet.estimates().eq(arena.estimates())
 }
 
 /// Nanoseconds-per-item speedup of lane `num` over lane `den` (how many
@@ -422,12 +398,6 @@ pub fn report_json(cfg: &FleetConfig, run: &FleetRun) -> String {
         ]);
     }
     if cfg.generator.runs_backbone() {
-        let best_parallel = results
-            .iter()
-            .filter(|m| m.name.starts_with("backbone_fleet_parallel_t"))
-            .max_by(|a, b| a.items_per_sec().total_cmp(&b.items_per_sec()))
-            .map(|m| m.name.clone())
-            .unwrap_or_default();
         meta.extend([
             ("links", cfg.links.to_string()),
             ("n_max", N_MAX.to_string()),
@@ -441,14 +411,6 @@ pub fn report_json(cfg: &FleetConfig, run: &FleetRun) -> String {
                 format!(
                     "{:.3}",
                     speedup(results, "backbone_fleet_arena", "backbone_fleet_scalar")
-                ),
-            ),
-            ("best_parallel_lane", best_parallel.clone()),
-            (
-                "parallel_vs_arena_speedup",
-                format!(
-                    "{:.3}",
-                    speedup(results, &best_parallel, "backbone_fleet_arena")
                 ),
             ),
         ]);
@@ -466,22 +428,20 @@ mod tests {
             links: 6,
             max_pairs: 10_000,
             budget_ms: 5,
-            max_shards: 2,
             ..FleetConfig::smoke()
         };
         let run = run(&cfg);
         assert!(run.strategies_agree);
         let names: Vec<&str> = run.results.iter().map(|m| m.name.as_str()).collect();
-        for expect in [
-            "backbone_fleet_scalar",
-            "backbone_fleet_batched",
-            "backbone_fleet_arena",
-            "backbone_fleet_arena_steady",
-            "backbone_fleet_parallel_t1",
-            "backbone_fleet_parallel_t2",
-        ] {
-            assert!(names.contains(&expect), "missing lane {expect}");
-        }
+        assert_eq!(
+            names,
+            [
+                "backbone_fleet_scalar",
+                "backbone_fleet_batched",
+                "backbone_fleet_arena",
+                "backbone_fleet_arena_steady",
+            ]
+        );
         let json = report_json(&cfg, &run);
         assert!(json.contains("\"bench\": \"fleet\""));
         assert!(json.contains("arena_vs_batched_speedup"));

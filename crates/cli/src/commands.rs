@@ -85,10 +85,10 @@ commands:
              daemon: snapshot state, journal segments, record counts and
              any torn tail a crash left behind
              usage: recover DIR
-  agent      build one node shard's epoch frames (byte-identical to the
-             in-process pipeline's) and deliver them to a collector over
-             TCP, reconnecting with backed-off retries until every frame
-             is acked
+  agent      build one node shard's v3 delta frames (they absorb to
+             exactly the in-process pipeline's state) and deliver them
+             to a collector over TCP, reconnecting with backed-off
+             retries until every frame is acked
              flags: --connect HOST:PORT --links L --shards K --shard I
                     --window W --epochs E --seed S --deadline-ms MS
                     --agent-id ID (default shard + 1)
@@ -112,10 +112,10 @@ commands:
              flags: --links L --shards K --budget-ms MS --seed S
                     --out PATH (default BENCH_collect.json)
   bench-fleet
-             time fleet storage flavors (HashMap vs arena vs sharded
-             arena, plus sparse-vs-dense on a Zipf per-flow workload)
-             and write a JSON report
-             flags: --links L --pairs P --shards K --budget-ms MS
+             time fleet storage flavors (HashMap vs arena, plus
+             sparse-vs-dense on a Zipf per-flow workload) and write a
+             JSON report
+             flags: --links L --pairs P --budget-ms MS
                     --seed S --out PATH (default BENCH_fleet.json)
                     --generator backbone|zipf|all (default backbone)
                     --keys N (Zipf distinct keys, default 1.2m)
@@ -1056,8 +1056,7 @@ fn agent_cmd(opts: &Options, out: &mut impl Write) -> Result<(), String> {
     let read_deadline = Duration::from_millis(opts.deadline_ms.max(1));
     writeln!(
         out,
-        "agent {agent_id}: shard {} of {} shipping {} epochs as {} v3 delta frames to {} \
-         (full-frame fallback for v2 collectors)",
+        "agent {agent_id}: shard {} of {} shipping {} epochs as {} v3 delta frames to {}",
         opts.shard,
         pcfg.shards,
         backlog.len(),
@@ -1377,20 +1376,18 @@ fn bench_fleet(opts: &Options, out: &mut impl Write) -> Result<(), String> {
         links: opts.links.max(1),
         max_pairs: opts.pairs.max(1),
         budget_ms: opts.budget_ms.max(1),
-        max_shards: opts.shards.max(1),
         seed: opts.seed,
         generator,
         zipf_keys: opts.keys.max(1),
     };
     writeln!(
         out,
-        "fleet bench [{}]: {} links, ≤{} pairs, {} zipf keys, {} ms/case, 1..={} shards",
+        "fleet bench [{}]: {} links, ≤{} pairs, {} zipf keys, {} ms/case",
         generator.name(),
         cfg.links,
         cfg.max_pairs,
         cfg.zipf_keys,
-        cfg.budget_ms,
-        cfg.max_shards
+        cfg.budget_ms
     )
     .map_err(io_err)?;
     let run = sbitmap_bench::fleet::run(&cfg);
@@ -1613,13 +1610,12 @@ mod tests {
             std::process::id()
         ));
         let argv = format!(
-            "bench-fleet --links 4 --pairs 2k --budget-ms 2 --shards 2 \
+            "bench-fleet --links 4 --pairs 2k --budget-ms 2 \
              --assert-min-speedup 0.01 --out {}",
             path.display()
         );
         let out = run(&argv, "").unwrap();
         assert!(out.contains("backbone_fleet_arena"), "{out}");
-        assert!(out.contains("backbone_fleet_parallel_t2"), "{out}");
         assert!(out.contains("arena vs legacy batched"), "{out}");
         assert!(out.contains("speedup gate passed"), "{out}");
         let json = std::fs::read_to_string(&path).unwrap();
@@ -1627,7 +1623,7 @@ mod tests {
         assert!(json.contains("available_parallelism"));
         // An impossible gate must fail loudly.
         let argv = format!(
-            "bench-fleet --links 4 --pairs 2k --budget-ms 2 --shards 1 \
+            "bench-fleet --links 4 --pairs 2k --budget-ms 2 \
              --assert-min-speedup 1e9 --out {}",
             path.display()
         );

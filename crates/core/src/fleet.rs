@@ -22,7 +22,7 @@ use crate::SBitmapError;
 /// so a restored fleet rebuilds identical hashers.
 ///
 /// Public because every fleet flavor ([`SketchFleet`],
-/// [`crate::FleetArena`], [`crate::ParallelFleet`]) and the stream
+/// [`crate::FleetArena`], [`crate::SparseFleet`]) and the stream
 /// collector derive per-key seeds through this one function — which is
 /// what makes their per-key sketches interchangeable and their
 /// checkpoints mutually restorable.

@@ -26,7 +26,6 @@
 //! | [`fleet`] | §7.2 | many keyed sketches over one shared schedule |
 //! | [`arena`] | §7.2 | the same fleet packed into one contiguous arena, with an allocation-free radix batch router |
 //! | [`sparse`] | §7 | the same fleet in size-classed sparse slab storage for million-key Zipf workloads |
-//! | [`parallel`] | §7.2 | arena fleet sharded across `std::thread` workers |
 //! | [`concurrent`] | §7.2 | lock-free sketch over the atomic bitmap backend |
 //! | [`rotating`] | §7.1 | per-interval counting with bounded history |
 //! | [`window`] | §7.1–7.2 | sliding-window distinct counting: a ring of epoch arenas on the [`window::EpochClock`] |
@@ -63,7 +62,6 @@ mod error;
 pub mod estimator;
 pub mod fleet;
 pub mod journal;
-pub mod parallel;
 pub mod rotating;
 pub mod schedule;
 pub mod simulate;
@@ -81,7 +79,6 @@ pub use dimensioning::Dimensioning;
 pub use error::SBitmapError;
 pub use fleet::SketchFleet;
 pub use journal::{JournalConfig, JournalError, JournalRecord, JournalWriter, SegmentScan};
-pub use parallel::ParallelFleet;
 pub use rotating::RotatingCounter;
 pub use schedule::RateSchedule;
 pub use sketch::SBitmap;

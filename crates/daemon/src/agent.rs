@@ -205,9 +205,28 @@ where
         })
         .collect();
     let mut connect = connect;
-    run_items(cfg, items, &HashMap::new(), &HashMap::new(), |a, _| {
-        connect(a)
-    })
+    run_items(cfg, items, &HashMap::new(), |a, _| connect(a))
+}
+
+/// Flatten a delta backlog into wire items (every epoch's round chain,
+/// in order) plus each epoch's round-0 baseline, kept for
+/// [`ErrorCode::MissingBaseline`] resyncs.
+fn delta_items(backlog: Vec<EpochFrames>) -> (Vec<WireItem>, HashMap<u64, Vec<u8>>) {
+    let mut items = Vec::new();
+    let mut baselines = HashMap::new();
+    for ef in backlog {
+        if let Some(first) = ef.deltas.first() {
+            baselines.insert(ef.epoch, first.clone());
+        }
+        for (round, bytes) in ef.deltas.into_iter().enumerate() {
+            items.push(WireItem {
+                epoch: ef.epoch,
+                round: Some(round as u32),
+                bytes,
+            });
+        }
+    }
+    (items, baselines)
 }
 
 /// Ship a v3 delta backlog — each epoch's round chain from
@@ -220,10 +239,6 @@ where
 /// a reordered chain head — gets the epoch re-sent from its baseline,
 /// and at-least-once delivery stays correct because replayed rounds
 /// come back as guard duplicates.
-///
-/// When the collector's `Welcome` negotiates protocol 1 (a v2-only
-/// peer), the agent falls back to shipping each pending epoch's final
-/// full checkpoint (`fulls.last()`) as a plain `Batch` instead.
 ///
 /// # Errors
 ///
@@ -238,26 +253,9 @@ where
     S: Read + Write,
     C: FnMut(u32) -> io::Result<S>,
 {
-    let mut items = Vec::new();
-    let mut baselines = HashMap::new();
-    let mut fallback = HashMap::new();
-    for ef in backlog {
-        if let Some(first) = ef.deltas.first() {
-            baselines.insert(ef.epoch, first.clone());
-        }
-        if let Some(full) = ef.fulls.last() {
-            fallback.insert(ef.epoch, full.clone());
-        }
-        for (round, bytes) in ef.deltas.into_iter().enumerate() {
-            items.push(WireItem {
-                epoch: ef.epoch,
-                round: Some(round as u32),
-                bytes,
-            });
-        }
-    }
+    let (items, baselines) = delta_items(backlog);
     let mut connect = connect;
-    run_items(cfg, items, &baselines, &fallback, |a, _| connect(a))
+    run_items(cfg, items, &baselines, |a, _| connect(a))
 }
 
 /// Ship a v3 delta backlog to a **replicated collector fleet**: an
@@ -288,24 +286,7 @@ pub fn run_agent_rounds_failover(
     if addrs.is_empty() {
         return Err(format!("agent {} has no collector addresses", cfg.agent_id));
     }
-    let mut items = Vec::new();
-    let mut baselines = HashMap::new();
-    let mut fallback = HashMap::new();
-    for ef in backlog {
-        if let Some(first) = ef.deltas.first() {
-            baselines.insert(ef.epoch, first.clone());
-        }
-        if let Some(full) = ef.fulls.last() {
-            fallback.insert(ef.epoch, full.clone());
-        }
-        for (round, bytes) in ef.deltas.into_iter().enumerate() {
-            items.push(WireItem {
-                epoch: ef.epoch,
-                round: Some(round as u32),
-                bytes,
-            });
-        }
-    }
+    let (items, baselines) = delta_items(backlog);
     let current = Cell::new(0usize);
     let rotations = Cell::new(0u64);
     let rotate = || {
@@ -336,7 +317,7 @@ pub fn run_agent_rounds_failover(
             }
         }
     };
-    let mut report = run_items(cfg, items, &baselines, &fallback, connect)?;
+    let mut report = run_items(cfg, items, &baselines, connect)?;
     report.failovers = rotations.get();
     Ok(report)
 }
@@ -350,7 +331,6 @@ fn run_items<S, C>(
     cfg: &AgentConfig,
     items: Vec<WireItem>,
     baselines: &HashMap<u64, Vec<u8>>,
-    fallback: &HashMap<u64, Vec<u8>>,
     mut connect: C,
 ) -> Result<AgentReport, String>
 where
@@ -399,7 +379,6 @@ where
             &byte_plan,
             &mut pending,
             baselines,
-            fallback,
             stream,
             &mut report,
             &mut term_seen,
@@ -475,13 +454,11 @@ fn send<S: Read + Write>(reader: &mut FrameReader<S>, msg: &Message) -> io::Resu
 /// One connection's worth of work: handshake, then send pending frames
 /// under the credit window and process acks until pending drains or the
 /// session dies.
-#[allow(clippy::too_many_arguments)] // internal seam; every arg is distinct state
 fn session<S: Read + Write>(
     cfg: &AgentConfig,
     plan: &FaultPlan,
     pending: &mut Vec<WireItem>,
     baselines: &HashMap<u64, Vec<u8>>,
-    fallback: &HashMap<u64, Vec<u8>>,
     stream: FaultyStream<S>,
     report: &mut AgentReport,
     term_seen: &mut u64,
@@ -512,32 +489,13 @@ fn session<S: Read + Write>(
                     // write to it — rotate to the next address.
                     return SessionEnd::RetryRotate;
                 }
-                *term_seen = config.term;
-                if proto < 2 && pending.iter().any(|i| i.round.is_some()) {
-                    // The collector is v2-only: collapse each pending
-                    // epoch's delta chain into its full checkpoint. The
-                    // downgrade is sticky — items stay full frames for
-                    // every later session too.
-                    let mut fulls: Vec<WireItem> = Vec::new();
-                    for item in pending.iter() {
-                        if fulls.iter().any(|f| f.epoch == item.epoch) {
-                            continue;
-                        }
-                        let Some(bytes) = fallback.get(&item.epoch) else {
-                            return SessionEnd::Fatal(format!(
-                                "agent {} has no full-frame fallback for epoch {} \
-                                 on a protocol-{proto} session",
-                                cfg.agent_id, item.epoch
-                            ));
-                        };
-                        fulls.push(WireItem {
-                            epoch: item.epoch,
-                            round: None,
-                            bytes: bytes.clone(),
-                        });
-                    }
-                    *pending = fulls;
+                if proto < PROTO_VERSION {
+                    return SessionEnd::Fatal(format!(
+                        "collector welcomed agent {} at protocol {proto}, below {PROTO_VERSION}",
+                        cfg.agent_id
+                    ));
                 }
+                *term_seen = config.term;
                 break (credits.max(1)) as usize;
             }
             Ok(ReadEvent::Message(Message::Error { code, detail, .. })) => {
@@ -856,5 +814,46 @@ mod tests {
         .unwrap_err();
         assert_eq!(tries, 3);
         assert!(err.contains("gave up after 3 attempts"), "{err}");
+    }
+
+    #[test]
+    fn welcome_below_proto_version_is_fatal() {
+        /// A collector that answers every hello with one scripted
+        /// welcome and swallows writes.
+        struct OldCollector(io::Cursor<Vec<u8>>);
+        impl Read for OldCollector {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.0.read(buf)
+            }
+        }
+        impl Write for OldCollector {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let echo = ConfigEcho {
+            n_max: 1000,
+            m: 100,
+            sampling_bits: 4,
+            seed: 1,
+            window: 2,
+            term: 0,
+        };
+        let welcome = encode(&Message::Welcome {
+            proto: PROTO_VERSION - 1,
+            credits: 4,
+            config: echo,
+        });
+        let mut dials = 0u32;
+        let err = run_agent(&AgentConfig::new(1, echo), vec![(0, vec![1, 2, 3])], |_| {
+            dials += 1;
+            Ok(OldCollector(io::Cursor::new(welcome.clone())))
+        })
+        .unwrap_err();
+        assert_eq!(dials, 1, "an old collector is not retried");
+        assert!(err.contains("below"), "{err}");
     }
 }

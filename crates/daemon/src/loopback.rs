@@ -9,8 +9,6 @@
 //! drain the daemon's ring must match the in-process collector
 //! **bit-for-bit** — estimates, fills and quantile summaries — no
 //! matter which [`FaultPlan`] mangled the transport along the way.
-//! Against a v2-only daemon ([`DaemonConfig::max_proto`] = 1) the
-//! agents negotiate down and ship each epoch's full checkpoint instead.
 
 use std::net::TcpStream;
 use std::time::{Duration, Instant};

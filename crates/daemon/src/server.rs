@@ -172,11 +172,6 @@ pub struct DaemonConfig {
     /// can force the bounded queue to fill and observe backpressure
     /// deterministically. Zero in production.
     pub absorb_stall: Duration,
-    /// Highest protocol version this daemon speaks — the handshake
-    /// answers `min(client, max_proto)`. Production leaves this at
-    /// [`PROTO_VERSION`]; tests pin it to 1 to exercise a v2-only
-    /// collector against delta-capable agents.
-    pub max_proto: u16,
     /// Standby mode: follow the primary whose *ingest* address this is.
     /// The daemon starts as a standby — it refuses ingest sessions with
     /// [`ErrorCode::NotPrimary`] until promoted, and runs a replication
@@ -226,7 +221,6 @@ impl Default for DaemonConfig {
             busy_timeout: Duration::from_secs(2),
             crash_point: None,
             absorb_stall: Duration::ZERO,
-            max_proto: PROTO_VERSION,
             standby_of: None,
             initial_term: 1,
             replication_timeout: Duration::from_secs(2),
@@ -499,6 +493,30 @@ fn lock_ring(ring: &Mutex<WindowedFleet>) -> MutexGuard<'_, WindowedFleet> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+/// Connection handler threads: the ones not yet joined, plus the panic
+/// count of those already reaped.
+#[derive(Default)]
+struct Handlers {
+    live: Vec<JoinHandle<()>>,
+    panics: u64,
+}
+
+impl Handlers {
+    /// Join every finished handler, so a long-running daemon holds one
+    /// thread per *open* connection, not per connection ever accepted.
+    fn reap(&mut self) {
+        let (done, live): (Vec<_>, Vec<_>) = std::mem::take(&mut self.live)
+            .into_iter()
+            .partition(JoinHandle::is_finished);
+        self.live = live;
+        self.panics += done
+            .into_iter()
+            .map(JoinHandle::join)
+            .filter(Result::is_err)
+            .count() as u64;
+    }
+}
+
 /// A running daemon. Dropping it without [`Daemon::join`] leaks the
 /// serving threads; always drain + join.
 pub struct Daemon {
@@ -506,7 +524,7 @@ pub struct Daemon {
     ingest_addr: SocketAddr,
     query_addr: SocketAddr,
     accept_threads: Vec<JoinHandle<()>>,
-    handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    handlers: Arc<Mutex<Handlers>>,
     absorber: JoinHandle<()>,
     replica: Option<JoinHandle<()>>,
     job_tx: mpsc::SyncSender<Job>,
@@ -578,7 +596,7 @@ impl Daemon {
             stats: Stats::default(),
         });
         let (job_tx, job_rx) = mpsc::sync_channel::<Job>(shared.cfg.queue_frames);
-        let handlers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let handlers = Arc::new(Mutex::new(Handlers::default()));
 
         let absorber = {
             let shared = shared.clone();
@@ -699,14 +717,16 @@ impl Daemon {
         }
         // No new connections past this point; existing handlers observe
         // the flag within one read deadline.
-        let handlers = std::mem::take(
+        let Handlers {
+            live,
+            panics: mut handler_panics,
+        } = std::mem::take(
             &mut *self
                 .handlers
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner),
         );
-        let mut handler_panics = 0u64;
-        for t in handlers {
+        for t in live {
             if t.join().is_err() {
                 handler_panics += 1;
             }
@@ -773,12 +793,13 @@ impl Daemon {
 }
 
 /// Accept until the drain flag flips, spawning one handler per
-/// connection. `make_handler` builds the per-connection closure (which
-/// captures the shared state and, for ingest, a queue sender).
+/// connection and reaping finished ones. `make_handler` builds the
+/// per-connection closure (which captures the shared state and, for
+/// ingest, a queue sender).
 fn accept_loop<F, G>(
     shared: &Arc<Shared>,
     listener: &TcpListener,
-    handlers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
+    handlers: &Mutex<Handlers>,
     make_handler: F,
 ) where
     F: Fn(Arc<Shared>, TcpStream) -> G,
@@ -792,7 +813,11 @@ fn accept_loop<F, G>(
                 // listener polls.
                 let _ = stream.set_nonblocking(false);
                 let handler = make_handler(shared.clone(), stream);
-                handlers.lock().unwrap().push(std::thread::spawn(handler));
+                let mut handlers = handlers
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                handlers.reap();
+                handlers.live.push(std::thread::spawn(handler));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(ACCEPT_POLL);
@@ -1596,11 +1621,11 @@ fn absorber_loop(shared: &Arc<Shared>, rx: &mpsc::Receiver<Job>, durability: Opt
 
 /// Read events until a `Hello` arrives (tolerating deadline ticks up to
 /// the idle limit); validate its role against `accept`; send `Welcome`
-/// on success. Returns the agent id, the negotiated session protocol —
-/// `min(client, max_proto)`, so a delta-capable agent talking to a
-/// v2-only collector lands on protocol 1 and ships full frames — and
-/// the peer's role, or `None` when the session should close (the typed
-/// rejection has already been queued).
+/// on success. A peer speaking at least [`PROTO_VERSION`] is answered at
+/// `PROTO_VERSION`; an older one is refused with
+/// [`ErrorCode::VersionMismatch`]. Returns the agent id and the peer's
+/// role, or `None` when the session should close (the typed rejection
+/// has already been queued).
 ///
 /// Fencing happens here: a standby refuses `Ingest` and `Replicate`
 /// hellos with [`ErrorCode::NotPrimary`], and so does a *primary* whose
@@ -1611,7 +1636,7 @@ fn handshake(
     reader: &mut FrameReader<TcpStream>,
     out: &impl Fn(Message),
     accept: &[Role],
-) -> Option<(u64, u16, Role)> {
+) -> Option<(u64, Role)> {
     let mut idle = Duration::ZERO;
     let (proto, role, agent, config) = loop {
         if shared.draining() {
@@ -1678,8 +1703,7 @@ fn handshake(
             Err(NetError::Io(_)) => return None,
         }
     };
-    let session_proto = proto.min(shared.cfg.max_proto);
-    if session_proto == 0 {
+    if proto < PROTO_VERSION {
         shared
             .stats
             .handshake_rejects
@@ -1687,10 +1711,7 @@ fn handshake(
         out(Message::Error {
             code: ErrorCode::VersionMismatch,
             context: u64::from(proto),
-            detail: format!(
-                "collector speaks protocols 1..={}, peer spoke {proto}",
-                shared.cfg.max_proto
-            ),
+            detail: format!("collector speaks protocol {PROTO_VERSION}, peer spoke {proto}"),
         });
         return None;
     }
@@ -1760,11 +1781,11 @@ fn handshake(
         return None;
     }
     out(Message::Welcome {
-        proto: session_proto,
+        proto: PROTO_VERSION,
         credits: shared.cfg.credits,
         config: shared.echo.with_term(shared.term()),
     });
-    Some((agent, session_proto, role))
+    Some((agent, role))
 }
 
 /// One ingest connection: handshake, then decode batches into absorb
@@ -1808,10 +1829,10 @@ fn ingest_conn(shared: &Arc<Shared>, stream: TcpStream, job_tx: &mpsc::SyncSende
 
     let mut reader = FrameReader::new(stream);
     match handshake(shared, &mut reader, &out, &[Role::Ingest, Role::Replicate]) {
-        Some((agent, proto, Role::Ingest)) => {
-            ingest_session(shared, &mut reader, &out_tx, job_tx, agent, proto);
+        Some((agent, Role::Ingest)) => {
+            ingest_session(shared, &mut reader, &out_tx, job_tx, agent);
         }
-        Some((agent, _, Role::Replicate)) => {
+        Some((agent, Role::Replicate)) => {
             replicate_sender_session(shared, &mut reader, &out_tx, agent);
         }
         _ => {}
@@ -1909,7 +1930,6 @@ fn ingest_session(
     out_tx: &mpsc::Sender<Message>,
     job_tx: &mpsc::SyncSender<Job>,
     agent: u64,
-    proto: u16,
 ) {
     // Queue a decoded payload, blocking on the bounded job queue when
     // the absorber falls behind — up to the busy deadline, past which
@@ -2014,16 +2034,6 @@ fn ingest_session(
                     .stats
                     .bytes_on_wire
                     .fetch_add(frame.len() as u64, Ordering::Relaxed);
-                if proto < 2 {
-                    // The negotiated session cannot carry deltas; the
-                    // agent should have fallen back to full frames.
-                    let _ = out_tx.send(Message::Error {
-                        code: ErrorCode::Protocol,
-                        context: epoch,
-                        detail: format!("delta frame on a protocol-{proto} session"),
-                    });
-                    continue;
-                }
                 if frame_agent != agent {
                     let _ = out_tx.send(Message::Error {
                         code: ErrorCode::Protocol,
@@ -2236,5 +2246,57 @@ fn answer(shared: &Shared, req: &QueryRequest) -> QueryReply {
             shared.shutdown.store(true, Ordering::SeqCst);
             QueryReply::Draining
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::agent::query_once;
+
+    #[test]
+    fn finished_connection_handlers_are_reaped() {
+        let daemon = Daemon::start(DaemonConfig {
+            read_deadline: Duration::from_millis(10),
+            ..DaemonConfig::default()
+        })
+        .unwrap();
+        let ask = || {
+            let s = TcpStream::connect(daemon.query_addr()).unwrap();
+            s.set_read_timeout(Some(Duration::from_millis(10))).unwrap();
+            match query_once(s, &QueryRequest::Status, Duration::from_secs(2)).unwrap() {
+                Message::Reply(_) => {}
+                other => panic!("expected Reply, got {other:?}"),
+            }
+        };
+        // 1,000 one-shot sessions from four clients at once.
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| (0..250).for_each(|_| ask()));
+            }
+        });
+        // Let the last handlers wind down; the next accept reaps them.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while daemon
+            .handlers
+            .lock()
+            .unwrap()
+            .live
+            .iter()
+            .any(|t| !t.is_finished())
+        {
+            assert!(Instant::now() < deadline, "query handlers never finished");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        ask();
+        assert_eq!(
+            daemon.handlers.lock().unwrap().live.len(),
+            1,
+            "only the newest session's handler may still be held"
+        );
+        daemon.drain();
+        let report = daemon.join().unwrap();
+        assert_eq!(report.connections, 1_001);
+        assert_eq!(report.handler_panics, 0);
     }
 }

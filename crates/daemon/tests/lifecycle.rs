@@ -13,8 +13,7 @@ use sbitmap_stream::net::{
     ReadEvent, Role, PROTO_VERSION,
 };
 use sbitmap_stream::{
-    quantile_summary, run_windowed_pipeline, DeltaFrameSource, ShardFrameSource,
-    WindowedPipelineConfig,
+    quantile_summary, run_windowed_pipeline, DeltaFrameSource, WindowedPipelineConfig,
 };
 
 fn pcfg() -> WindowedPipelineConfig {
@@ -109,23 +108,44 @@ fn test_frame(keys: &[u64]) -> Vec<u8> {
     fleet.checkpoint()
 }
 
+/// `shard`'s tag-9 epoch frames for [`run_agent`]: each epoch's final
+/// full checkpoint, byte-identical to the frame `run_windowed_pipeline`
+/// ships for that shard.
+fn full_frames(pcfg: &WindowedPipelineConfig, shard: usize) -> Vec<(u64, Vec<u8>)> {
+    DeltaFrameSource::new(pcfg, shard)
+        .unwrap()
+        .collect_epochs()
+        .into_iter()
+        .map(|mut ef| (ef.epoch, ef.fulls.pop().unwrap()))
+        .collect()
+}
+
 #[test]
 fn handshake_rejects_wrong_version_with_typed_error() {
     let daemon = Daemon::start(dcfg()).unwrap();
     let echo = daemon.config_echo();
-    let mut c = Client::connect(daemon.ingest_addr());
-    c.send(&Message::Hello {
-        proto: 0,
-        role: Role::Ingest,
-        agent: 1,
-        config: echo,
-    });
-    match c.recv() {
-        Message::Error { code, context, .. } => {
-            assert_eq!(code, ErrorCode::VersionMismatch);
-            assert_eq!(context, 0, "context carries the peer's version");
+    // Every proto below the daemon's is refused, including proto 1
+    // (full frames only): there is no downgrade.
+    let old_protos = [0, 1];
+    for proto in old_protos {
+        let mut c = Client::connect(daemon.ingest_addr());
+        c.send(&Message::Hello {
+            proto,
+            role: Role::Ingest,
+            agent: 1,
+            config: echo,
+        });
+        match c.recv() {
+            Message::Error { code, context, .. } => {
+                assert_eq!(code, ErrorCode::VersionMismatch, "proto {proto}");
+                assert_eq!(
+                    context,
+                    u64::from(proto),
+                    "context carries the peer's version"
+                );
+            }
+            other => panic!("proto {proto}: expected VersionMismatch error, got {other:?}"),
         }
-        other => panic!("expected VersionMismatch error, got {other:?}"),
     }
     // A peer from the future is fine: the session settles on the
     // highest version the daemon speaks.
@@ -157,10 +177,10 @@ fn handshake_rejects_wrong_version_with_typed_error() {
         }
         other => panic!("expected Welcome, got {other:?}"),
     }
-    drop((c, ok));
+    drop(ok);
     daemon.drain();
     let report = daemon.join().unwrap();
-    assert_eq!(report.handshake_rejects, 1);
+    assert_eq!(report.handshake_rejects, old_protos.len() as u64);
 }
 
 #[test]
@@ -176,38 +196,6 @@ fn handshake_rejects_config_mismatch() {
     drop(c);
     daemon.drain();
     assert_eq!(daemon.join().unwrap().handshake_rejects, 1);
-}
-
-#[test]
-fn v2_only_collector_negotiates_down_and_still_converges() {
-    // A daemon pinned to protocol 1 must answer `Welcome { proto: 1 }`,
-    // and delta-capable agents must fall back to shipping each epoch's
-    // full checkpoint — landing on the exact same collector state.
-    let pcfg = pcfg();
-    let reference = run_windowed_pipeline(&pcfg).unwrap();
-    let old = DaemonConfig {
-        max_proto: 1,
-        ..dcfg()
-    };
-    let out = run_loopback(&pcfg, old, &[]).unwrap();
-    let expected: Vec<(u64, f64)> = reference
-        .links
-        .iter()
-        .map(|r| (r.link as u64, r.estimate))
-        .collect();
-    assert_eq!(out.report.estimates, expected, "per-link estimates");
-    for a in &out.agents {
-        assert_eq!(
-            a.frames_sent as usize, pcfg.epochs,
-            "fallback ships one full frame per epoch, not per round"
-        );
-        assert_eq!(a.baseline_resyncs, 0);
-    }
-    assert_eq!(
-        (out.report.frames_absorbed + out.report.expired) as usize,
-        pcfg.shards * pcfg.epochs
-    );
-    assert_eq!(out.report.missing_baselines, 0);
 }
 
 #[test]
@@ -526,7 +514,7 @@ fn agent_backs_off_on_busy_and_still_delivers_everything() {
         shards: 1,
         ..pcfg()
     };
-    let frames = ShardFrameSource::new(&pcfg, 0).unwrap().collect_frames();
+    let frames = full_frames(&pcfg, 0);
     let ingest = daemon.ingest_addr();
     let acfg = AgentConfig {
         max_attempts: 200,
@@ -593,7 +581,7 @@ fn query_port_answers_every_kind_and_drains() {
     };
     let daemon = Daemon::start(dcfg()).unwrap();
     let echo = daemon.config_echo();
-    let frames = ShardFrameSource::new(&pcfg, 0).unwrap().collect_frames();
+    let frames = full_frames(&pcfg, 0);
 
     // Build the expected ring locally from the same frames.
     let cfg = dcfg();

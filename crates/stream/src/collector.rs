@@ -6,8 +6,7 @@
 //! architecture in-process: `shards` node workers on std threads each own
 //! a subset of the links of a [`BackboneSnapshot`], hold their links'
 //! sketches in one arena-packed [`FleetArena`] (keyed by link index, all
-//! bitmaps in one contiguous buffer over one shared schedule — the
-//! [`sbitmap_core::ParallelFleet`] worker pattern, wired to a channel)
+//! bitmaps in one contiguous buffer over one shared schedule)
 //! plus one shard-wide [`HyperLogLog`], and send framed v2 checkpoints
 //! (`sbitmap_core::codec`) over an `mpsc` channel. Per-link seeds are
 //! derived with [`sbitmap_core::fleet::sketch_seed`], so the shipped
@@ -315,10 +314,10 @@ pub struct WindowedPipelineConfig {
     /// Epochs the run simulates; the final summary covers the last
     /// `min(window, epochs)` of them.
     pub epochs: usize,
-    /// Wire rounds per epoch for the delta-coded (v3) lanes: each epoch
+    /// Wire rounds per epoch for the delta-coded (v3) lane: each epoch
     /// is shipped as one round-0 baseline plus `rounds − 1` newly-set-bit
-    /// delta frames, against an uncompressed comparator shipping one
-    /// *full* frame per round at the same cadence. Purely a wire
+    /// delta frames, and one *full* frame per round is cut alongside as
+    /// the uncompressed comparator at the same cadence. Purely a wire
     /// granularity knob — per-link sketch state and estimates are
     /// independent of it, and [`run_windowed_pipeline`] (the legacy
     /// one-full-frame-per-epoch lane) ignores it.
@@ -358,10 +357,9 @@ impl WindowedPipelineConfig {
 
 /// Build one shard's arena for one epoch: clear it, then for each of the
 /// shard's round-robin links refill the flow scratch from the epoch
-/// substream and insert. This is the **single definition** both
-/// `run_windowed_pipeline`'s node workers and [`ShardFrameSource`]
-/// (hence the networked node agent of `sbitmap-daemon`) run, so the two
-/// can only ever ship identical frame bytes.
+/// substream and insert — `run_windowed_pipeline`'s node workers, kept
+/// independent of [`DeltaFrameSource`] so the reference pipeline and the
+/// shipped round chains cross-check each other.
 fn fill_shard_epoch(
     cfg: &WindowedPipelineConfig,
     snapshot: &BackboneSnapshot,
@@ -383,102 +381,11 @@ fn fill_shard_epoch(
     }
 }
 
-/// A deterministic builder of one node shard's per-epoch `sketch-fleet`
-/// frames — byte-for-byte the frames the in-process windowed pipeline
-/// ships over its channel. A networked node agent (the `sbitmap agent`
-/// subcommand) replays these same bytes over TCP, which is what lets the
-/// loopback daemon pipeline be locked bit-identical to
-/// [`run_windowed_pipeline`] rather than merely statistically close.
-#[derive(Debug)]
-pub struct ShardFrameSource {
-    cfg: WindowedPipelineConfig,
-    snapshot: BackboneSnapshot,
-    shard: usize,
-    fleet: FleetArena,
-    flows: Vec<u64>,
-    next_epoch: usize,
-}
-
-impl ShardFrameSource {
-    /// Create the frame source for `shard` of `cfg.shards`.
-    ///
-    /// # Errors
-    ///
-    /// Zero links/shards/window/epochs, a shard index out of range, or
-    /// un-dimensionable sketch parameters.
-    pub fn new(cfg: &WindowedPipelineConfig, shard: usize) -> Result<Self, String> {
-        if cfg.links == 0 || cfg.shards == 0 {
-            return Err("links and shards must be at least 1".into());
-        }
-        if cfg.window == 0 || cfg.epochs == 0 {
-            return Err("window and epochs must be at least 1".into());
-        }
-        if shard >= cfg.shards {
-            return Err(format!(
-                "shard {shard} out of range ({} shards)",
-                cfg.shards
-            ));
-        }
-        let schedule =
-            Arc::new(RateSchedule::from_memory(cfg.n_max, cfg.m_bits).map_err(|e| e.to_string())?);
-        let snapshot = BackboneSnapshot::with_links(cfg.links, cfg.seed);
-        let flows = Vec::with_capacity(
-            (shard..cfg.links)
-                .step_by(cfg.shards)
-                .map(|link| cfg.epoch_flows(snapshot.counts()[link]) as usize)
-                .max()
-                .unwrap_or(0),
-        );
-        Ok(Self {
-            cfg: cfg.clone(),
-            snapshot,
-            shard,
-            fleet: FleetArena::with_schedule(schedule, cfg.seed),
-            flows,
-            next_epoch: 0,
-        })
-    }
-
-    /// The shard this source builds frames for.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
-    /// Build the next epoch's `(epoch, frame bytes)`; `None` once every
-    /// configured epoch has been built.
-    pub fn next_frame(&mut self) -> Option<(u64, Vec<u8>)> {
-        if self.next_epoch >= self.cfg.epochs {
-            return None;
-        }
-        let epoch = self.next_epoch;
-        fill_shard_epoch(
-            &self.cfg,
-            &self.snapshot,
-            self.shard,
-            epoch,
-            &mut self.fleet,
-            &mut self.flows,
-        );
-        self.next_epoch += 1;
-        Some((epoch as u64, self.fleet.checkpoint()))
-    }
-
-    /// Build every remaining frame at once — the backlog a node agent
-    /// loads before dialing the collector.
-    pub fn collect_frames(mut self) -> Vec<(u64, Vec<u8>)> {
-        let mut out = Vec::with_capacity(self.cfg.epochs.saturating_sub(self.next_epoch));
-        while let Some(f) = self.next_frame() {
-            out.push(f);
-        }
-        out
-    }
-}
-
 /// One epoch's wire output from a [`DeltaFrameSource`]: the shard's
 /// per-link state coded both ways at the same `rounds`-per-epoch cadence,
-/// so the compressed and uncompressed lanes carry the *same* information
-/// and any divergence in the resulting estimates is a codec bug, not a
-/// sampling artifact.
+/// so both encodings carry the *same* information — their byte counts
+/// compare the coding, not the cadence, and any divergence in the
+/// resulting estimates is a codec bug, not a sampling artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EpochFrames {
     /// Epoch the frames describe.
@@ -486,7 +393,8 @@ pub struct EpochFrames {
     /// One full v2 `sketch-fleet` checkpoint per round — the uncompressed
     /// same-cadence comparator lane. Round `r` snapshots the shard after
     /// the first `r + 1` stream chunks, so the last entry is
-    /// byte-identical to the [`ShardFrameSource`] frame for this epoch.
+    /// byte-identical to the epoch frame [`run_windowed_pipeline`]'s node
+    /// worker ships for this shard.
     pub fulls: Vec<Vec<u8>>,
     /// One v3 `fleet-delta` frame per round. Round 0 is the baseline
     /// reset — a record for *every* shard link, even still-empty ones,
@@ -503,8 +411,8 @@ pub struct EpochFrames {
 /// which, because bits are only ever *set* within an epoch, is exactly
 /// the newly-set bits) and one full checkpoint. Because the chunks
 /// preserve per-key insertion order, the final round's state is
-/// bit-identical to [`ShardFrameSource`]'s epoch frame, and OR-absorbing
-/// the delta chain reassembles it exactly.
+/// bit-identical to [`run_windowed_pipeline`]'s epoch frame, and
+/// OR-absorbing the delta chain reassembles it exactly.
 #[derive(Debug)]
 pub struct DeltaFrameSource {
     cfg: WindowedPipelineConfig,
@@ -531,21 +439,33 @@ impl DeltaFrameSource {
     /// Zero links/shards/window/epochs/rounds, a shard index out of
     /// range, or un-dimensionable sketch parameters.
     pub fn new(cfg: &WindowedPipelineConfig, shard: usize) -> Result<Self, String> {
+        if cfg.links == 0 || cfg.shards == 0 {
+            return Err("links and shards must be at least 1".into());
+        }
+        if cfg.window == 0 || cfg.epochs == 0 {
+            return Err("window and epochs must be at least 1".into());
+        }
         if cfg.rounds == 0 {
             return Err("rounds must be at least 1".into());
         }
-        let base = ShardFrameSource::new(cfg, shard)?;
+        if shard >= cfg.shards {
+            return Err(format!(
+                "shard {shard} out of range ({} shards)",
+                cfg.shards
+            ));
+        }
+        let schedule =
+            Arc::new(RateSchedule::from_memory(cfg.n_max, cfg.m_bits).map_err(|e| e.to_string())?);
         let links: Vec<u64> = (shard..cfg.links)
             .step_by(cfg.shards)
             .map(|l| l as u64)
             .collect();
-        let stride = base.fleet.schedule().dims().m().div_ceil(64);
-        let prev = vec![vec![0u64; stride]; links.len()];
+        let prev = vec![vec![0u64; schedule.dims().m().div_ceil(64)]; links.len()];
         Ok(Self {
-            cfg: base.cfg,
-            snapshot: base.snapshot,
+            cfg: cfg.clone(),
+            snapshot: BackboneSnapshot::with_links(cfg.links, cfg.seed),
             shard,
-            fleet: base.fleet,
+            fleet: FleetArena::with_schedule(schedule, cfg.seed),
             links,
             prev,
             flows: Vec::new(),
@@ -669,10 +589,16 @@ pub struct WindowedSummary {
     pub live_epochs: usize,
     /// Frames received and verified: one per shard per epoch for
     /// [`run_windowed_pipeline`], one per shard per epoch per *round* for
-    /// the same-cadence runners.
+    /// [`run_windowed_pipeline_v3`].
     pub checkpoints: usize,
     /// Total checkpoint bytes that crossed the channel.
     pub bytes_shipped: usize,
+    /// Bytes of the full v2 checkpoints covering the same updates: for
+    /// [`run_windowed_pipeline_v3`], the same-cadence full frames (one
+    /// per round) its sources cut alongside the deltas — counted, never
+    /// shipped; for [`run_windowed_pipeline`], which ships full frames,
+    /// equal to `bytes_shipped`.
+    pub bytes_full: usize,
     /// Mean absolute relative error of the windowed estimates.
     pub mean_abs_rel_err: f64,
     /// Quantiles of the per-link windowed estimates at
@@ -800,6 +726,7 @@ pub fn run_windowed_pipeline(cfg: &WindowedPipelineConfig) -> Result<WindowedSum
             live_epochs: cfg.live_epochs(),
             checkpoints,
             bytes_shipped,
+            bytes_full: bytes_shipped,
             mean_abs_rel_err,
             estimate_quantiles,
         })
@@ -814,7 +741,11 @@ pub fn run_windowed_pipeline(cfg: &WindowedPipelineConfig) -> Result<WindowedSum
 /// absorbed chain converges to exactly the state the full-frame lanes
 /// build, so estimates and quantiles are bit-identical to
 /// [`run_windowed_pipeline`] while `bytes_shipped` counts only the delta
-/// frames.
+/// frames. The node workers drain one [`DeltaFrameSource`] each (so the
+/// bytes are exactly what a networked agent ships); the same-cadence full
+/// checkpoints those sources cut are counted in
+/// [`WindowedSummary::bytes_full`], not absorbed, so one run yields the
+/// wire reduction `bytes_full / bytes_shipped`.
 ///
 /// # Errors
 ///
@@ -823,55 +754,18 @@ pub fn run_windowed_pipeline(cfg: &WindowedPipelineConfig) -> Result<WindowedSum
 /// impossible on this lossless in-process channel, so an error indicates
 /// a codec bug).
 pub fn run_windowed_pipeline_v3(cfg: &WindowedPipelineConfig) -> Result<WindowedSummary, String> {
-    run_windowed_rounds(cfg, true)
-}
-
-/// Run the windowed pipeline shipping the **uncompressed same-cadence
-/// comparator lane**: one full v2 `sketch-fleet` checkpoint per round —
-/// the same update granularity as [`run_windowed_pipeline_v3`], coded
-/// without deltas. This is the honest baseline for wire-reduction
-/// claims: it ships exactly the information of the v3 lane, at the same
-/// frame cadence, so `bytes_shipped(full) / bytes_shipped(v3)` measures
-/// the coding, not a cadence difference.
-///
-/// # Errors
-///
-/// As [`run_windowed_pipeline`], plus zero `rounds`.
-pub fn run_windowed_pipeline_rounds(
-    cfg: &WindowedPipelineConfig,
-) -> Result<WindowedSummary, String> {
-    run_windowed_rounds(cfg, false)
-}
-
-/// Shared body of the two same-cadence runners: node workers drain a
-/// [`DeltaFrameSource`] each (so the bytes are exactly what a networked
-/// delta-capable agent would ship), the collector absorbs the selected
-/// lane in `(epoch, shard)` order, and only that lane's bytes count as
-/// shipped.
-fn run_windowed_rounds(
-    cfg: &WindowedPipelineConfig,
-    compressed: bool,
-) -> Result<WindowedSummary, String> {
-    if cfg.links == 0 || cfg.shards == 0 {
-        return Err("links and shards must be at least 1".into());
-    }
-    if cfg.window == 0 || cfg.epochs == 0 {
-        return Err("window and epochs must be at least 1".into());
-    }
-    if cfg.rounds == 0 {
-        return Err("rounds must be at least 1".into());
-    }
-    let schedule =
-        Arc::new(RateSchedule::from_memory(cfg.n_max, cfg.m_bits).map_err(|e| e.to_string())?);
+    let sources = (0..cfg.shards.max(1))
+        .map(|shard| DeltaFrameSource::new(cfg, shard))
+        .collect::<Result<Vec<_>, _>>()?;
+    let schedule = sources[0].fleet.schedule().clone();
     let snapshot = BackboneSnapshot::with_links(cfg.links, cfg.seed);
     let (tx, rx) = mpsc::channel::<(usize, EpochFrames)>();
 
     std::thread::scope(|scope| -> Result<WindowedSummary, String> {
-        for shard in 0..cfg.shards {
+        for mut source in sources {
             let tx = tx.clone();
             scope.spawn(move || {
-                let mut source =
-                    DeltaFrameSource::new(cfg, shard).expect("config validated before spawn");
+                let shard = source.shard();
                 while let Some(frames) = source.next_frames() {
                     if tx.send((shard, frames)).is_err() {
                         return; // collector gone; stop measuring
@@ -894,42 +788,26 @@ fn run_windowed_rounds(
             .map_err(|e| e.to_string())?;
         let mut checkpoints = 0usize;
         let mut bytes_shipped = 0usize;
+        let mut bytes_full = 0usize;
         for (shard, ef) in &frames {
             let epoch = ef.epoch;
             ring.advance_to(epoch).map_err(|e| e.to_string())?;
-            if compressed {
-                for bytes in &ef.deltas {
-                    bytes_shipped += bytes.len();
-                    checkpoints += 1;
-                    let frame = FleetDeltaFrame::decode(bytes)
-                        .map_err(|e| format!("shard {shard} epoch {epoch}: {e}"))?;
-                    let round = frame.round;
-                    match ring.absorb_delta_from(*shard as u64, &frame) {
-                        Ok(AbsorbOutcome::Absorbed) => {}
-                        Ok(other) => {
-                            return Err(format!(
-                                "shard {shard} epoch {epoch} round {round}: frame {other:?} on a lossless channel"
-                            ));
-                        }
-                        Err(e) => {
-                            return Err(format!("shard {shard} epoch {epoch} round {round}: {e}"));
-                        }
+            bytes_full += ef.fulls.iter().map(Vec::len).sum::<usize>();
+            for bytes in &ef.deltas {
+                bytes_shipped += bytes.len();
+                checkpoints += 1;
+                let frame = FleetDeltaFrame::decode(bytes)
+                    .map_err(|e| format!("shard {shard} epoch {epoch}: {e}"))?;
+                let round = frame.round;
+                match ring.absorb_delta_from(*shard as u64, &frame) {
+                    Ok(AbsorbOutcome::Absorbed) => {}
+                    Ok(other) => {
+                        return Err(format!(
+                            "shard {shard} epoch {epoch} round {round}: frame {other:?} on a lossless channel"
+                        ));
                     }
-                }
-            } else {
-                for bytes in &ef.fulls {
-                    bytes_shipped += bytes.len();
-                    checkpoints += 1;
-                    let fleet: FleetArena = Checkpoint::restore(bytes)
-                        .map_err(|e| format!("shard {shard} epoch {epoch}: {e}"))?;
-                    // Round prefixes are nested, so re-absorbing each
-                    // successive full over the previous one is a plain OR
-                    // that lands on the final round's exact state.
-                    if !ring
-                        .absorb_epoch(epoch, &fleet)
-                        .map_err(|e| format!("shard {shard} epoch {epoch}: {e}"))?
-                    {
-                        return Err(format!("shard {shard} epoch {epoch}: frame expired"));
+                    Err(e) => {
+                        return Err(format!("shard {shard} epoch {epoch} round {round}: {e}"));
                     }
                 }
             }
@@ -966,6 +844,7 @@ fn run_windowed_rounds(
             live_epochs: cfg.live_epochs(),
             checkpoints,
             bytes_shipped,
+            bytes_full,
             mean_abs_rel_err,
             estimate_quantiles,
         })
@@ -1128,27 +1007,47 @@ mod tests {
     }
 
     #[test]
-    fn shard_frame_source_reproduces_the_pipeline() {
-        // Absorbing every shard's ShardFrameSource frames into a fresh
-        // ring — the daemon's ingest path — must reproduce the
-        // in-process pipeline's estimates and quantiles exactly.
+    fn delta_frame_source_reproduces_the_pipeline() {
+        // Every shard's source is reproducible and well-formed, and
+        // absorbing each epoch's final full checkpoint into a fresh ring
+        // — the daemon's `Batch` path — reproduces the in-process
+        // pipeline's estimates and quantiles exactly.
         let cfg = small_windowed();
         let reference = run_windowed_pipeline(&cfg).unwrap();
+        let mut finals: Vec<(u64, usize, Vec<u8>)> = Vec::new();
+        let mut bytes_full = 0usize;
+        for shard in 0..cfg.shards {
+            let epochs = DeltaFrameSource::new(&cfg, shard).unwrap().collect_epochs();
+            let again = DeltaFrameSource::new(&cfg, shard).unwrap().collect_epochs();
+            assert_eq!(epochs, again, "shard {shard} bytes are reproducible");
+            assert_eq!(epochs.len(), cfg.epochs);
+            let shard_links = (shard..cfg.links).step_by(cfg.shards).count();
+            for (e, ef) in epochs.iter().enumerate() {
+                assert_eq!(ef.epoch, e as u64);
+                assert_eq!(ef.fulls.len(), cfg.rounds);
+                assert_eq!(ef.deltas.len(), cfg.rounds);
+                bytes_full += ef.fulls.iter().map(Vec::len).sum::<usize>();
+                // Round 0 is a baseline carrying every shard link.
+                let baseline = FleetDeltaFrame::decode(&ef.deltas[0]).unwrap();
+                assert!(baseline.is_baseline());
+                assert_eq!(baseline.records.len(), shard_links);
+                for (r, delta) in ef.deltas.iter().enumerate() {
+                    let frame = FleetDeltaFrame::decode(delta).unwrap();
+                    assert_eq!(frame.epoch, ef.epoch);
+                    assert_eq!(frame.round, r as u32);
+                }
+            }
+            finals.extend(
+                epochs
+                    .into_iter()
+                    .map(|mut ef| (ef.epoch, shard, ef.fulls.pop().unwrap())),
+            );
+        }
+        finals.sort_by_key(|&(epoch, shard, _)| (epoch, shard));
         let schedule = Arc::new(RateSchedule::from_memory(cfg.n_max, cfg.m_bits).unwrap());
         let mut ring: WindowedFleet =
             WindowedFleet::with_schedule(schedule, cfg.seed, cfg.window).unwrap();
-        let mut frames: Vec<(u64, usize, Vec<u8>)> = Vec::new();
-        for shard in 0..cfg.shards {
-            let built = ShardFrameSource::new(&cfg, shard).unwrap().collect_frames();
-            assert_eq!(built.len(), cfg.epochs);
-            // Determinism: a second independently built source emits the
-            // same bytes.
-            let again = ShardFrameSource::new(&cfg, shard).unwrap().collect_frames();
-            assert_eq!(built, again);
-            frames.extend(built.into_iter().map(|(e, b)| (e, shard, b)));
-        }
-        frames.sort_by_key(|&(epoch, shard, _)| (epoch, shard));
-        for (epoch, _, bytes) in &frames {
+        for (epoch, _, bytes) in &finals {
             let fleet: FleetArena = Checkpoint::restore(bytes).unwrap();
             ring.advance_to(*epoch).unwrap();
             assert!(ring.absorb_epoch(*epoch, &fleet).unwrap());
@@ -1161,68 +1060,37 @@ mod tests {
         }
         let mut sample: Vec<f64> = estimates.iter().map(|&(_, e)| e).collect();
         assert_eq!(quantile_summary(&mut sample), reference.estimate_quantiles);
+        // The v3 runner counts exactly the fulls its sources cut.
+        let v3 = run_windowed_pipeline_v3(&cfg).unwrap();
+        assert_eq!(v3.bytes_full, bytes_full);
         // Out-of-range shard is rejected.
-        assert!(ShardFrameSource::new(&cfg, cfg.shards).is_err());
+        assert!(DeltaFrameSource::new(&cfg, cfg.shards).is_err());
     }
 
     #[test]
-    fn delta_lane_is_bit_identical_to_both_full_lanes() {
+    fn delta_lane_is_bit_identical_to_the_full_lane() {
         // The whole point of the v3 lane: same estimates, same quantiles,
         // fewer bytes. Any drift between lanes is a codec bug.
         let cfg = small_windowed();
         let legacy = run_windowed_pipeline(&cfg).unwrap();
-        let full = run_windowed_pipeline_rounds(&cfg).unwrap();
         let v3 = run_windowed_pipeline_v3(&cfg).unwrap();
-        assert_eq!(full.links.len(), legacy.links.len());
         assert_eq!(v3.links.len(), legacy.links.len());
-        for ((a, b), c) in legacy.links.iter().zip(&full.links).zip(&v3.links) {
+        for (a, c) in legacy.links.iter().zip(&v3.links) {
             assert_eq!(a.link, c.link);
-            assert_eq!(a.estimate, b.estimate, "full lane, link {}", a.link);
             assert_eq!(a.estimate, c.estimate, "v3 lane, link {}", a.link);
             assert_eq!(a.truth, c.truth, "link {}", a.link);
         }
-        assert_eq!(legacy.estimate_quantiles, full.estimate_quantiles);
         assert_eq!(legacy.estimate_quantiles, v3.estimate_quantiles);
-        // Same cadence on both round lanes: one frame per shard per epoch
-        // per round.
-        let expect = cfg.epochs * cfg.shards * cfg.rounds;
-        assert_eq!(full.checkpoints, expect);
-        assert_eq!(v3.checkpoints, expect);
+        // One delta frame per shard per epoch per round.
+        assert_eq!(v3.checkpoints, cfg.epochs * cfg.shards * cfg.rounds);
         assert!(
-            v3.bytes_shipped < full.bytes_shipped,
-            "delta lane shipped {} vs full lane {}",
+            v3.bytes_shipped < v3.bytes_full,
+            "delta lane shipped {} vs {} full-frame bytes",
             v3.bytes_shipped,
-            full.bytes_shipped
+            v3.bytes_full
         );
-    }
-
-    #[test]
-    fn delta_frame_source_is_deterministic_and_prefixes_nest() {
-        let cfg = small_windowed();
-        for shard in 0..cfg.shards {
-            let epochs = DeltaFrameSource::new(&cfg, shard).unwrap().collect_epochs();
-            let again = DeltaFrameSource::new(&cfg, shard).unwrap().collect_epochs();
-            assert_eq!(epochs, again, "shard {shard} bytes are reproducible");
-            let legacy = ShardFrameSource::new(&cfg, shard).unwrap().collect_frames();
-            let shard_links = (shard..cfg.links).step_by(cfg.shards).count();
-            for (ef, (epoch, bytes)) in epochs.iter().zip(&legacy) {
-                assert_eq!(ef.epoch, *epoch);
-                assert_eq!(ef.fulls.len(), cfg.rounds);
-                assert_eq!(ef.deltas.len(), cfg.rounds);
-                // The last round prefix is the whole epoch, byte for byte.
-                assert_eq!(ef.fulls.last().unwrap(), bytes);
-                // Round 0 is a baseline carrying every shard link.
-                let baseline = FleetDeltaFrame::decode(&ef.deltas[0]).unwrap();
-                assert!(baseline.is_baseline());
-                assert_eq!(baseline.records.len(), shard_links);
-                for (r, delta) in ef.deltas.iter().enumerate() {
-                    let frame = FleetDeltaFrame::decode(delta).unwrap();
-                    assert_eq!(frame.epoch, *epoch);
-                    assert_eq!(frame.round, r as u32);
-                }
-            }
-        }
-        assert!(DeltaFrameSource::new(&cfg, cfg.shards).is_err());
+        // The legacy runner ships full frames only.
+        assert_eq!(legacy.bytes_full, legacy.bytes_shipped);
     }
 
     #[test]
@@ -1239,11 +1107,10 @@ mod tests {
     }
 
     #[test]
-    fn round_runners_reject_zero_rounds() {
+    fn round_runner_rejects_zero_rounds() {
         let mut cfg = small_windowed();
         cfg.rounds = 0;
         assert!(run_windowed_pipeline_v3(&cfg).is_err());
-        assert!(run_windowed_pipeline_rounds(&cfg).is_err());
         assert!(DeltaFrameSource::new(&cfg, 0).is_err());
         // The legacy one-frame-per-epoch runner ignores the knob.
         assert!(run_windowed_pipeline(&cfg).is_ok());
@@ -1283,6 +1150,8 @@ mod tests {
             },
         ] {
             assert!(run_windowed_pipeline(&broken).is_err());
+            assert!(run_windowed_pipeline_v3(&broken).is_err());
+            assert!(DeltaFrameSource::new(&broken, 0).is_err());
         }
     }
 

@@ -41,9 +41,9 @@ pub mod worm;
 
 pub use backbone::BackboneSnapshot;
 pub use collector::{
-    quantile_summary, run_pipeline, run_windowed_pipeline, run_windowed_pipeline_rounds,
-    run_windowed_pipeline_v3, CollectSummary, DeltaFrameSource, EpochFrames, LinkReport,
-    PipelineConfig, ShardFrameSource, WindowedLinkReport, WindowedPipelineConfig, WindowedSummary,
+    quantile_summary, run_pipeline, run_windowed_pipeline, run_windowed_pipeline_v3,
+    CollectSummary, DeltaFrameSource, EpochFrames, LinkReport, PipelineConfig, WindowedLinkReport,
+    WindowedPipelineConfig, WindowedSummary,
 };
 pub use fault::{FaultPlan, FaultyStream};
 pub use generators::{distinct_items, shuffle_stream, zipf_stream, DistinctItems};

@@ -38,11 +38,8 @@ use sbitmap_hash::xxh64;
 pub const NET_MAGIC: [u8; 4] = *b"SBND";
 /// Protocol version spoken by this build. Version 2 adds the v3
 /// fleet-delta messages ([`Message::BatchDelta`] / [`Message::AckDelta`]).
-/// The handshake negotiates *down*: the daemon answers a Hello with
-/// `Welcome.proto = min(client, daemon)`, so a proto-1 peer keeps working
-/// (its session simply carries full v2 frames only, and the delta
-/// messages are a [`ErrorCode::Protocol`] error on it). Only a proto the
-/// daemon cannot speak at all (0) is rejected with
+/// The daemon answers a Hello from any proto ≥ `PROTO_VERSION` with
+/// `Welcome.proto = PROTO_VERSION` and rejects a lower one with
 /// [`ErrorCode::VersionMismatch`].
 pub const PROTO_VERSION: u16 = 2;
 /// Hard cap on a frame's declared payload length, enforced before any
@@ -474,7 +471,7 @@ pub enum Message {
     /// Daemon → client answer.
     Reply(QueryReply),
     /// One round of an epoch's v3 delta chain from a node agent
-    /// (proto ≥ 2 sessions only).
+    /// (see [`PROTO_VERSION`]).
     BatchDelta {
         /// Absolute epoch the chain belongs to.
         epoch: u64,
@@ -485,7 +482,7 @@ pub enum Message {
         /// A complete v3 `fleet-delta` frame (tag 11).
         frame: Vec<u8>,
     },
-    /// Daemon → agent delta acknowledgement (proto ≥ 2 sessions only).
+    /// Daemon → agent delta acknowledgement.
     AckDelta {
         /// The acknowledged epoch.
         epoch: u64,

@@ -54,7 +54,7 @@ pub use sbitmap_baselines::{
 pub use sbitmap_bitvec::{AtomicBitmap, BitStore, Bitmap, OwnedBitStore, SliceBitmap};
 pub use sbitmap_core::{
     BatchedCounter, Checkpoint, ConcurrentSBitmap, CounterKind, Dimensioning, DistinctCounter,
-    EpochClock, FleetArena, KeyedEstimates, MergeableCounter, ParallelFleet, RateSchedule,
-    RotatingCounter, SBitmap, SBitmapError, SharedCounter, SketchFleet, SparseFleet, WindowedFleet,
+    EpochClock, FleetArena, KeyedEstimates, MergeableCounter, RateSchedule, RotatingCounter,
+    SBitmap, SBitmapError, SharedCounter, SketchFleet, SparseFleet, WindowedFleet,
 };
 pub use sbitmap_hash::{HashKind, Hasher64};

@@ -114,8 +114,8 @@ fn golden_v1_corruption_is_still_detected() {
 //
 // The v3 delta frames ride *alongside* the v2 checkpoint kinds: a
 // collector must keep reading full fleet (tag 9) and windowed-fleet
-// (tag 10) frames forever, because v2-only nodes negotiate down to
-// full-frame shipping. The vectors were produced by [`rebuilt_fleet`] /
+// (tag 10) frames forever, because full `Batch` frames, ring
+// checkpoints and journal snapshots still carry them. The vectors were produced by [`rebuilt_fleet`] /
 // [`rebuilt_ring`] below at the moment v3 landed; if decoding them
 // fails, fix the decoder — never regenerate the vectors.
 

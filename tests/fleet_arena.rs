@@ -2,8 +2,7 @@
 //! arena-packed fleet must be *bit-identical* (per-key bitmap words and
 //! fill) and *checkpoint-byte-identical* to the HashMap fleet over
 //! seeded random `(key, item)` streams — including the saturation and
-//! restore paths — and the sharded fleet's per-key estimates must be
-//! invariant in the shard count.
+//! restore paths.
 //!
 //! This workspace builds offline, so instead of proptest these
 //! properties run over deterministic randomized cases drawn from the
@@ -12,7 +11,7 @@
 
 use sbitmap::core::Checkpoint;
 use sbitmap::hash::rng::{Rng, SplitMix64};
-use sbitmap::{FleetArena, ParallelFleet, SketchFleet};
+use sbitmap::{FleetArena, SketchFleet};
 
 /// Deterministic per-case RNG.
 fn rng(case: u64) -> SplitMix64 {
@@ -111,60 +110,6 @@ fn saturation_path_stays_identical_and_restorable() {
             fleet2.checkpoint(),
             "case {case}: post-restore divergence"
         );
-    }
-}
-
-#[test]
-fn parallel_fleet_estimates_are_shard_count_invariant() {
-    for case in 0..8u64 {
-        let mut g = rng(case ^ 0x9a8d);
-        let pairs = stream(&mut g, 10_000, 40, 5_000);
-        let seed = g.next_u64();
-        let shard_counts = [1usize, 2, 3, 7, 16];
-        let mut reference: Option<Vec<(u64, f64)>> = None;
-        let mut reference_bytes: Option<Vec<u8>> = None;
-        for &shards in &shard_counts {
-            let mut fleet: ParallelFleet =
-                ParallelFleet::new(100_000, 2_000, seed, shards).unwrap();
-            fleet.insert_batch(&pairs);
-            let estimates: Vec<(u64, f64)> = fleet.estimates().collect();
-            let bytes = fleet.checkpoint();
-            match (&reference, &reference_bytes) {
-                (None, _) => {
-                    reference = Some(estimates);
-                    reference_bytes = Some(bytes);
-                }
-                (Some(expect), Some(expect_bytes)) => {
-                    assert_eq!(&estimates, expect, "case {case}: {shards} shards");
-                    assert_eq!(&bytes, expect_bytes, "case {case}: {shards} shards");
-                }
-                _ => unreachable!(),
-            }
-        }
-    }
-}
-
-#[test]
-fn parallel_fleet_matches_single_threaded_arena_ingest() {
-    // The acceptance property: sharded (multi-threaded) ingest must be
-    // indistinguishable from single-threaded arena ingest, per key.
-    for case in 0..6u64 {
-        let mut g = rng(case ^ 0x717e);
-        let pairs = stream(&mut g, 12_000, 64, 3_000);
-        let seed = g.next_u64();
-        let mut single: FleetArena = FleetArena::new(100_000, 2_000, seed).unwrap();
-        let mut sharded: ParallelFleet = ParallelFleet::new(100_000, 2_000, seed, 8).unwrap();
-        single.insert_batch(&pairs);
-        sharded.insert_batch(&pairs);
-        assert_eq!(single.len(), sharded.len(), "case {case}");
-        for key in single.keys_sorted() {
-            assert_eq!(
-                sharded.export_sketch(key).unwrap().bitmap().words(),
-                single.export_sketch(key).unwrap().bitmap().words(),
-                "case {case}: key {key}"
-            );
-        }
-        assert_eq!(sharded.checkpoint(), single.checkpoint(), "case {case}");
     }
 }
 
